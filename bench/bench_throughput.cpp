@@ -4,7 +4,8 @@
 // The paper parallelizes one sentence (O(k + log n) steps); a serving
 // deployment also scales across sentences.  This harness replays a
 // deterministic English workload from grammars::SentenceGenerator at
-// configurable thread counts and batch sizes, verifies every batched
+// configurable thread counts and batch sizes (speedup and efficiency
+// are relative to the first --threads entry), verifies every batched
 // result is bit-identical to a single-threaded serial parse (the
 // service's correctness contract), and writes a BENCH_throughput.json
 // report for CI and future perf PRs to diff.
@@ -140,6 +141,10 @@ int main(int argc, char** argv) {
     std::cerr << "bench_throughput: bad numeric argument\n";
     return 2;
   }
+  if (cfg.threads.empty()) {
+    std::cerr << "bench_throughput: --threads needs at least one count\n";
+    return 2;
+  }
 
   auto bundle = grammars::make_english_grammar();
   grammars::SentenceGenerator gen(bundle, bench::kSeed);
@@ -194,12 +199,15 @@ int main(int argc, char** argv) {
   std::cout
       << "=============================================================\n\n";
 
-  util::Table table({"threads", "wall s", "sent/s", "ok/s", "speedup", "eff",
-                     "p50 ms", "p95 ms", "p99 ms", "bit-identical"});
+  // Speedup and efficiency are relative to the first --threads entry.
+  const int base_threads = cfg.threads.front();
+  util::Table table({"threads", "wall s", "sent/s", "ok/s",
+                     "speedup vs " + std::to_string(base_threads) + "t",
+                     "eff", "p50 ms", "p95 ms", "p99 ms", "bit-identical"});
   std::vector<serve::ThroughputRow> rows;
   bool all_identical = true;
   bool all_structured = true;
-  double single_thread_sps = 0.0;
+  double base_sps = 0.0;
 
   for (int threads : cfg.threads) {
     serve::ParseService::Options opt;
@@ -260,11 +268,9 @@ int main(int argc, char** argv) {
     row.sentences = workload.size();
     row.wall_seconds = wall;
     row.throughput_sps = static_cast<double>(workload.size()) / wall;
-    if (threads == 1) single_thread_sps = row.throughput_sps;
-    row.speedup = single_thread_sps > 0
-                      ? row.throughput_sps / single_thread_sps
-                      : 0.0;
-    row.efficiency = threads > 0 ? row.speedup / threads : 0.0;
+    if (rows.empty()) base_sps = row.throughput_sps;
+    row.speedup = base_sps > 0 ? row.throughput_sps / base_sps : 0.0;
+    row.efficiency = threads > 0 ? row.speedup * base_threads / threads : 0.0;
     row.stats = service.stats();
     rows.push_back(row);
 

@@ -9,12 +9,6 @@
 
 namespace parsec::cdg {
 
-namespace {
-
-constexpr std::size_t kStageWords = 2048;
-
-}  // namespace
-
 BatchParser::BatchParser(const Grammar& g, NetworkOptions opt)
     : grammar_(&g),
       opt_(opt),
@@ -104,20 +98,10 @@ void BatchParser::sweep_constraint(std::span<Network> nets, std::size_t slot,
   const FactoredConstraint& c = binary_[slot];
   const simd::Ops& ops = simd::ops();
   const RvIndexer& ix = nets[0].indexer();
+  Word* und = row_scratch_.data();  // undecided words of the current row
 
-  // Same two-phase tiling as kernels::sweep_binary_masked, row width
-  // sW_ (kLanes words per 64-value word group).
-  Word stage[kStageWords];
-  Word consts[kernels::kMaxSweepTileRows][8][kLanes];
-  std::size_t rows_idx[kernels::kMaxSweepTileRows];
-  bool rows_und[kernels::kMaxSweepTileRows];
-  const std::size_t row_cap =
-      std::max<std::size_t>(1, std::min(kernels::kMaxSweepTileRows,
-                                        sW_ ? kStageWords / sW_ : 1));
-  const std::size_t tile_cap =
-      std::max<std::size_t>(1,
-                            std::min(kernels::sweep_tiling().rows, row_cap));
-
+  // Unfilled lanes: the row words are zero, so any constants do.
+  simd::SweepConsts kc{};
   EvalContext ctx;
   for (std::size_t t = 0; t < num_arcs_; ++t) {
     const auto [ra, rb] = nets[0].arena().arc_pair(t);
@@ -138,86 +122,58 @@ void BatchParser::sweep_constraint(std::span<Network> nets, std::size_t slot,
     const Word* MCX = mask_row(slot, ra, 2);
     const Word* MCY = mask_row(slot, ra, 3);
 
-    std::size_t i = 0;
-    while (i < D_) {
-      // Gather a tile of rows alive in at least one lane.
-      std::size_t nrows = 0;
-      for (; i < D_ && nrows < tile_cap; ++i) {
-        if (!union_alive(ud, i)) continue;
-        const std::size_t g = (i / NetworkArena::kWordBits) * kLanes;
-        const std::size_t sh = i % NetworkArena::kWordBits;
-        rows_idx[nrows] = i;
-        for (std::size_t b = 0; b < filled; ++b) {
-          const bool ax = (MAX[g + b] >> sh) & Word{1};
-          const bool ay = (MAY[g + b] >> sh) & Word{1};
-          const bool cx = (MCX[g + b] >> sh) & Word{1};
-          const bool cy = (MCY[g + b] >> sh) & Word{1};
-          Word* k = &consts[nrows][0][b];
-          k[0 * kLanes] = ax ? Word{0} : ~Word{0};
-          k[1 * kLanes] = (cx && !c.cons_residual) ? ~Word{0} : Word{0};
-          k[2 * kLanes] = (ax && !c.ante_residual) ? ~Word{0} : Word{0};
-          k[3 * kLanes] = cx ? Word{0} : ~Word{0};
-          k[4 * kLanes] = ay ? Word{0} : ~Word{0};
-          k[5 * kLanes] = (cy && !c.cons_residual) ? ~Word{0} : Word{0};
-          k[6 * kLanes] = (ay && !c.ante_residual) ? ~Word{0} : Word{0};
-          k[7 * kLanes] = cy ? Word{0} : ~Word{0};
-        }
-        // Unfilled lanes: the row words are zero, any constants do.
-        for (std::size_t b = filled; b < kLanes; ++b)
-          for (int p = 0; p < 8; ++p) consts[nrows][p][b] = 0;
-        ++nrows;
+    // One dispatched pass per row alive in at least one lane, then its
+    // residual bits (lane = word index mod kLanes picks the sentence).
+    for (std::size_t i = 0; i < D_; ++i) {
+      if (!union_alive(ud, i)) continue;
+      const std::size_t g = (i / NetworkArena::kWordBits) * kLanes;
+      const std::size_t sh = i % NetworkArena::kWordBits;
+      for (std::size_t b = 0; b < filled; ++b) {
+        const auto bit = [&](const Word* m) { return (m[g + b] >> sh) & 1u; };
+        const kernels::SweepRowConsts k = kernels::sweep_row_consts(
+            c, bit(MAX), bit(MAY), bit(MCX), bit(MCY));
+        kc.nax[b] = k.nax;
+        kc.t1c[b] = k.t1c;
+        kc.f1[b] = k.f1;
+        kc.ncx[b] = k.ncx;
+        kc.nay[b] = k.nay;
+        kc.t2c[b] = k.t2c;
+        kc.f2[b] = k.f2;
+        kc.ncy[b] = k.ncy;
       }
-      if (!nrows) continue;
-      // Vector phase across all lanes at once.
-      bool tile_und = false;
-      for (std::size_t r = 0; r < nrows; ++r) {
-        const simd::SweepConsts kc{consts[r][0], consts[r][1], consts[r][2],
-                                   consts[r][3], consts[r][4], consts[r][5],
-                                   consts[r][6], consts[r][7]};
-        simd::SweepStats st;
-        ops.sweep_row(arc_row(t, rows_idx[r]), AX, AY, CX, CY, kc, kLanes,
-                      sW_, stage + r * sW_, &st);
-        for (std::size_t b = 0; b < filled; ++b) {
-          lane_counters_[b].masked_binary_pairs += st.masked[b];
-          lane_counters_[b].arc_zeroings += st.dead[b];
-          lane_counters_[b].simd_lane_words += W_;
-        }
-        rows_und[r] = st.any_undecided;
-        tile_und |= st.any_undecided;
-      }
-      for (std::size_t b = 0; b < filled; ++b)
+      Word* row = arc_row(t, i);
+      simd::SweepStats st;
+      ops.sweep_row(row, AX, AY, CX, CY, kc, sW_, und, &st);
+      for (std::size_t b = 0; b < filled; ++b) {
+        lane_counters_[b].masked_binary_pairs += st.masked[b];
+        lane_counters_[b].arc_zeroings += st.dead[b];
+        lane_counters_[b].simd_lane_words += W_;
         ++lane_counters_[b].tile_sweeps;
-      // Residual phase: lane = word index mod kLanes picks the sentence.
-      if (!tile_und) continue;
-      for (std::size_t r = 0; r < nrows; ++r) {
-        if (!rows_und[r]) continue;
-        const std::size_t ri = rows_idx[r];
-        Word* row = arc_row(t, ri);
-        const Binding bind_a{ix.decode(static_cast<int>(ri)), rida, wa};
-        for (std::size_t wt = 0; wt < sW_; ++wt) {
-          Word u = stage[r * sW_ + wt];
-          if (!u) continue;
-          const std::size_t b = wt % kLanes;
-          const std::size_t wi = wt / kLanes;
-          assert(b < filled);
-          ctx.sentence = sents_[b];
-          while (u) {
-            const std::size_t bit =
-                static_cast<std::size_t>(std::countr_zero(u));
-            u &= u - 1;
-            const std::size_t j = wi * NetworkArena::kWordBits + bit;
-            lane_counters_[b].binary_evals += 2;
-            ctx.x = bind_a;
-            ctx.y = Binding{ix.decode(static_cast<int>(j)), ridb, wb};
-            bool ok = eval_compiled(c.full, ctx);
-            if (ok) {
-              std::swap(ctx.x, ctx.y);
-              ok = eval_compiled(c.full, ctx);
-            }
-            if (!ok) {
-              row[wt] &= ~(Word{1} << bit);
-              ++lane_counters_[b].arc_zeroings;
-            }
+      }
+      if (!st.any_undecided) continue;
+      const Binding bind_a{ix.decode(static_cast<int>(i)), rida, wa};
+      for (std::size_t wt = 0; wt < sW_; ++wt) {
+        Word u = und[wt];
+        if (!u) continue;
+        const std::size_t b = wt % kLanes;
+        const std::size_t wi = wt / kLanes;
+        assert(b < filled);
+        ctx.sentence = sents_[b];
+        for (; u; u &= u - 1) {
+          const int bit = std::countr_zero(u);
+          const std::size_t j =
+              wi * NetworkArena::kWordBits + static_cast<std::size_t>(bit);
+          lane_counters_[b].binary_evals += 2;
+          ctx.x = bind_a;
+          ctx.y = Binding{ix.decode(static_cast<int>(j)), ridb, wb};
+          bool ok = eval_compiled(c.full, ctx);
+          if (ok) {
+            std::swap(ctx.x, ctx.y);
+            ok = eval_compiled(c.full, ctx);
+          }
+          if (!ok) {
+            row[wt] &= ~(Word{1} << bit);
+            ++lane_counters_[b].arc_zeroings;
           }
         }
       }
@@ -267,7 +223,7 @@ int BatchParser::consistency_step(std::size_t filled) {
     muts += lane_counters_[b].eliminations + lane_counters_[b].arc_zeroings;
   if (muts == clean_sweep_at_) return 0;
   const simd::Ops& ops = simd::ops();
-  std::vector<Word>& acc = vm_;  // scratch reuse: one interleaved row
+  std::vector<Word>& acc = row_scratch_;  // column-side support accumulator
   int eliminated = 0;
   // Serial-equivalent charge: one support probe per alive value.
   for (int role = 0; role < R_; ++role) {
@@ -394,7 +350,7 @@ std::vector<BatchLaneResult> BatchParser::parse(
     grow(sup_, static_cast<std::size_t>(R_) * sW_);
     grow(arcs_, num_arcs_ * D_ * sW_);
     grow(masks_, binary_.size() * static_cast<std::size_t>(R_) * 4 * sW_);
-    grow(vm_, sW_);
+    grow(row_scratch_, sW_);
     arc_pairs_.resize(num_arcs_);
     for (std::size_t t = 0; t < num_arcs_; ++t)
       arc_pairs_[t] = nets[0].arena().arc_pair(t);

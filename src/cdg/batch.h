@@ -1,4 +1,4 @@
-// Structure-of-arrays sentence batching: one SIMD tile sweep filters
+// Structure-of-arrays sentence batching: one SIMD row sweep filters
 // up to eight same-shape sentences at once.
 //
 // The MasPar runs ONE instruction stream over thousands of PEs; the
@@ -13,10 +13,10 @@
 //
 // — so one 512-bit vector op advances all eight sentences by 64 role
 // values, and one batched row is 8*W words = W cache lines, each line
-// holding the SAME word index of all eight lanes.  The lane-periodic
-// constants of simd::SweepConsts (lanes == 8) supply each lane's own
-// broadcast booleans, and the per-lane SweepStats accumulators split
-// the cost counters back out per sentence.
+// holding the SAME word index of all eight lanes.  The per-lane
+// constants of simd::SweepConsts supply each lane's own broadcast
+// booleans, and the per-lane SweepStats accumulators split the cost
+// counters back out per sentence.
 //
 // Pipeline (BatchParser::parse):
 //   1. per-lane prep through POOLED ordinary Networks (reinit reuses
@@ -137,7 +137,7 @@ class BatchParser {
   std::vector<Word> sup_;    // R interleaved support rows (scratch)
   std::vector<Word> arcs_;   // num_arcs * D interleaved arc rows
   std::vector<Word> masks_;  // slots * R * 4 interleaved mask rows
-  std::vector<Word> vm_;     // one interleaved victim-mask row (scratch)
+  std::vector<Word> row_scratch_;  // one interleaved scratch row
 
   // Per-lane parse state for the residual VM and result assembly.
   std::vector<const Sentence*> sents_;

@@ -7,7 +7,6 @@
 namespace parsec::cdg::kernels {
 
 void zero_row_col(NetworkArena& a, int role, int rv) {
-  using Word = NetworkArena::Word;
   const int R = a.roles();
   const std::size_t wi =
       static_cast<std::size_t>(rv) / NetworkArena::kWordBits;
@@ -33,7 +32,6 @@ void zero_row_col(NetworkArena& a, int role, int rv) {
 
 void zero_rows_cols(NetworkArena& a, int role, std::span<const int> rvs,
                     util::BitSpan scratch) {
-  using Word = NetworkArena::Word;
   const int R = a.roles();
   scratch.reset_all();
   for (int rv : rvs) scratch.set(static_cast<std::size_t>(rv));
@@ -50,8 +48,10 @@ void zero_rows_cols(NetworkArena& a, int role, std::span<const int> rvs,
       util::BitMatrixView m = a.arc(other, role);
       const util::ConstBitSpan dom =
           static_cast<const NetworkArena&>(a).domain(other);
-      const auto andn = simd::ops().andn;
-      dom.for_each([&](std::size_t r) { andn(m.row_words(r), vm, W); });
+      dom.for_each([&](std::size_t r) {
+        Word* row = m.row_words(r);
+        for (std::size_t wi = 0; wi < W; ++wi) row[wi] &= ~vm[wi];
+      });
     }
   }
 }
@@ -158,7 +158,6 @@ namespace {
 
 /// Clears bit range [lo, hi) of `s`, word-wise.
 void clear_run(util::BitSpan s, std::size_t lo, std::size_t hi) {
-  using Word = NetworkArena::Word;
   constexpr std::size_t B = NetworkArena::kWordBits;
   Word* w = s.words();
   for (std::size_t wi = lo / B; wi * B < hi; ++wi) {
@@ -261,187 +260,63 @@ std::size_t MaskCache::ensure(NetworkArena& a, const FactoredConstraint& c,
   return evals;
 }
 
-namespace {
-
-SweepTiling g_tiling{};
-
-/// Fills the 8 broadcast constant words (each all-ones or all-zero) of
-/// one a-side row from its hoisted-mask bits, in simd::SweepConsts
-/// member order.  Folding the row booleans into constants here is what
-/// makes the word kernel a fixed 8-term expression — the same
-/// instruction stream for every row, the ACU-broadcast shape.
-inline void sweep_row_consts(const FactoredConstraint& c,
-                             const FactoredMasks& ma, std::size_t i,
-                             NetworkArena::Word* k) {
-  using Word = NetworkArena::Word;
-  const bool ax = ma.ante_x.test(i), ay = ma.ante_y.test(i);
-  const bool cx = ma.cons_x.test(i), cy = ma.cons_y.test(i);
-  const bool f1_on = ax && !c.ante_residual;
-  const bool f2_on = ay && !c.ante_residual;
-  const bool t1c = cx && !c.cons_residual;
-  const bool t2c = cy && !c.cons_residual;
-  k[0] = ax ? Word{0} : ~Word{0};    // nax
-  k[1] = t1c ? ~Word{0} : Word{0};   // t1c
-  k[2] = f1_on ? ~Word{0} : Word{0}; // f1
-  k[3] = cx ? Word{0} : ~Word{0};    // ncx
-  k[4] = ay ? Word{0} : ~Word{0};    // nay
-  k[5] = t2c ? ~Word{0} : Word{0};   // t2c
-  k[6] = f2_on ? ~Word{0} : Word{0}; // f2
-  k[7] = cy ? Word{0} : ~Word{0};    // ncy
-}
-
-}  // namespace
-
-void set_sweep_tiling(const SweepTiling& t) {
-  g_tiling.rows = t.rows < 1 ? 1
-                  : t.rows > kMaxSweepTileRows ? kMaxSweepTileRows
-                                               : t.rows;
-}
-
-SweepTiling sweep_tiling() { return g_tiling; }
-
 int sweep_binary_masked(const FactoredConstraint& c, const Sentence& sent,
                         util::BitMatrixView m, util::ConstBitSpan dom_a,
                         const FactoredMasks& ma, RoleId rid_a, WordPos wa,
                         const FactoredMasks& mb, RoleId rid_b, WordPos wb,
                         const RvIndexer& ix, const MaskedCounters& counters,
                         bool apply_residual) {
-  using Word = NetworkArena::Word;
   const std::size_t W = m.row_word_count();
   // Partner-side mask words (bit j = does b's value j satisfy the part).
   const Word* AX = mb.ante_x.words();
   const Word* AY = mb.ante_y.words();
   const Word* CX = mb.cons_x.words();
   const Word* CY = mb.cons_y.words();
-  const simd::Ops& ops = simd::ops();
   EvalContext ctx;
   ctx.sentence = &sent;
-  std::size_t vm = 0, masked = 0, tiles = 0, lane_words = 0;
+  std::size_t vm = 0, masked = 0, rows = 0;
   int zeroed = 0;
-
-  // Tile staging, all on the stack: the vector phase writes each row's
-  // undecided word image here, the residual phase drains it.  Wide rows
-  // shrink the block height so a tile never overflows the budget (the
-  // degenerate W > kStageWords case would need D > 128k bits; the
-  // invariant checker's shapes are far below that, but clamp anyway).
-  constexpr std::size_t kStageWords = 2048;
-  static_assert(kStageWords >= kMaxSweepTileRows);
-  Word stage[kStageWords];
-  Word consts[kMaxSweepTileRows][8];
-  std::size_t rows_idx[kMaxSweepTileRows];
-  bool rows_und[kMaxSweepTileRows];
-  const std::size_t Wc = W > kStageWords ? kStageWords : W;
-  const std::size_t row_cap =
-      Wc ? std::min(kMaxSweepTileRows, kStageWords / Wc) : std::size_t{1};
-  const std::size_t tile_cap =
-      std::max<std::size_t>(1, std::min(g_tiling.rows, row_cap));
-
-  const std::size_t Dn = dom_a.size();
-  std::size_t i = dom_a.find_first();
-  while (i < Dn) {
-    // Gather the tile: up to tile_cap alive rows and their constants.
-    std::size_t nrows = 0;
-    while (i < Dn && nrows < tile_cap) {
-      rows_idx[nrows] = i;
-      sweep_row_consts(c, ma, i, consts[nrows]);
-      ++nrows;
-      i = dom_a.find_next_from(i + 1);
-    }
-    // Vector phase: one uninterrupted dispatched pass per row, kills
-    // applied in place, undecided words staged.
-    bool tile_und = false;
-    for (std::size_t r = 0; r < nrows; ++r) {
-      const Word* k = consts[r];
-      const simd::SweepConsts kc{k + 0, k + 1, k + 2, k + 3,
-                                 k + 4, k + 5, k + 6, k + 7};
-      simd::SweepStats st;
-      ops.sweep_row(m.row_words(rows_idx[r]), AX, AY, CX, CY, kc, 1, Wc,
-                    stage + r * Wc, &st);
-      // Clamped-width leftover (W > kStageWords only): finish the row
-      // scalar-chunked with immediate residual semantics via a second
-      // dispatched pass per chunk.
-      for (std::size_t w0 = Wc; w0 < W; w0 += Wc) {
-        const std::size_t nw = std::min(Wc, W - w0);
-        simd::SweepStats st2;
-        ops.sweep_row(m.row_words(rows_idx[r]) + w0, AX + w0, AY + w0,
-                      CX + w0, CY + w0, kc, 1, nw, stage + r * Wc, &st2);
-        masked += st2.masked[0];
-        zeroed += static_cast<int>(st2.dead[0]);
-        lane_words += nw;
-        if (apply_residual && st2.any_undecided) {
-          Word* row = m.row_words(rows_idx[r]);
-          const Binding bind_a{
-              ix.decode(static_cast<int>(rows_idx[r])), rid_a, wa};
-          for (std::size_t wi = 0; wi < nw; ++wi) {
-            Word u = stage[r * Wc + wi];
-            while (u) {
-              const std::size_t bit =
-                  static_cast<std::size_t>(std::countr_zero(u));
-              u &= u - 1;
-              const std::size_t j =
-                  (w0 + wi) * NetworkArena::kWordBits + bit;
-              vm += 2;
-              ctx.x = bind_a;
-              ctx.y = Binding{ix.decode(static_cast<int>(j)), rid_b, wb};
-              bool ok = eval_compiled(c.full, ctx);
-              if (ok) {
-                std::swap(ctx.x, ctx.y);
-                ok = eval_compiled(c.full, ctx);
-              }
-              if (!ok) {
-                row[w0 + wi] &= ~(Word{1} << bit);
-                ++zeroed;
-              }
-            }
-          }
+  dom_a.for_each([&](std::size_t i) {
+    ++rows;
+    const SweepRowConsts k =
+        sweep_row_consts(c, ma.ante_x.test(i), ma.ante_y.test(i),
+                         ma.cons_x.test(i), ma.cons_y.test(i));
+    Word* row = m.row_words(i);
+    const Binding bind_a{ix.decode(static_cast<int>(i)), rid_a, wa};
+    for (std::size_t wi = 0; wi < W; ++wi) {
+      if (!row[wi]) continue;  // nothing to decide, nothing to count
+      const SweepWord s =
+          sweep_word(row[wi], AX[wi], AY[wi], CX[wi], CY[wi], k);
+      masked += static_cast<std::size_t>(std::popcount(row[wi]) -
+                                         std::popcount(s.und));
+      zeroed += std::popcount(s.dead);
+      row[wi] = s.row;
+      if (!apply_residual) continue;
+      // Residual VM, bits ascending.  A pair's verdict depends only on
+      // (sentence, i, j), never on the matrix state.
+      for (Word u = s.und; u; u &= u - 1) {
+        const int bit = std::countr_zero(u);
+        const std::size_t j = wi * NetworkArena::kWordBits +
+                              static_cast<std::size_t>(bit);
+        vm += 2;
+        ctx.x = bind_a;
+        ctx.y = Binding{ix.decode(static_cast<int>(j)), rid_b, wb};
+        bool ok = eval_compiled(c.full, ctx);
+        if (ok) {
+          std::swap(ctx.x, ctx.y);
+          ok = eval_compiled(c.full, ctx);
         }
-      }
-      masked += st.masked[0];
-      zeroed += static_cast<int>(st.dead[0]);
-      lane_words += Wc;
-      rows_und[r] = st.any_undecided;
-      tile_und |= st.any_undecided;
-    }
-    ++tiles;
-    // Residual phase: the bytecode VM drains the staged undecided
-    // bits, rows ascending, bits ascending within each row.  A pair's
-    // verdict depends only on (sentence, i, j) — no matrix state — so
-    // the phase split cannot change the final bits or the counters.
-    if (apply_residual && tile_und) {
-      for (std::size_t r = 0; r < nrows; ++r) {
-        if (!rows_und[r]) continue;
-        const std::size_t ri = rows_idx[r];
-        Word* row = m.row_words(ri);
-        const Binding bind_a{ix.decode(static_cast<int>(ri)), rid_a, wa};
-        const Word* und = stage + r * Wc;
-        for (std::size_t wi = 0; wi < Wc; ++wi) {
-          Word u = und[wi];
-          while (u) {
-            const std::size_t bit =
-                static_cast<std::size_t>(std::countr_zero(u));
-            u &= u - 1;
-            const std::size_t j = wi * NetworkArena::kWordBits + bit;
-            vm += 2;
-            ctx.x = bind_a;
-            ctx.y = Binding{ix.decode(static_cast<int>(j)), rid_b, wb};
-            bool ok = eval_compiled(c.full, ctx);
-            if (ok) {
-              std::swap(ctx.x, ctx.y);
-              ok = eval_compiled(c.full, ctx);
-            }
-            if (!ok) {
-              row[wi] &= ~(Word{1} << bit);
-              ++zeroed;
-            }
-          }
+        if (!ok) {
+          row[wi] &= ~(Word{1} << bit);
+          ++zeroed;
         }
       }
     }
-  }
+  });
   if (counters.vm_evals) *counters.vm_evals += vm;
   if (counters.masked) *counters.masked += masked;
-  if (counters.tile_sweeps) *counters.tile_sweeps += tiles;
-  if (counters.lane_words) *counters.lane_words += lane_words;
+  if (counters.tile_sweeps) *counters.tile_sweeps += rows;
+  if (counters.lane_words) *counters.lane_words += rows * W;
   return zeroed;
 }
 
@@ -484,7 +359,6 @@ void propagate_unary_masked(const FactoredConstraint& c, const Sentence& sent,
 }
 
 void support_mask(const NetworkArena& a, int role, util::BitSpan out) {
-  using Word = NetworkArena::Word;
   assert(out.size() == static_cast<std::size_t>(a.domain_size()));
   // Dead values are unsupported by definition (their rows/columns are
   // zeroed), so start from the domain and only ever clear bits.
@@ -510,15 +384,16 @@ void support_mask(const NetworkArena& a, int role, util::BitSpan out) {
       // stack for any domain size.
       const auto m = a.arc(other, role);
       const util::ConstBitSpan dom_b = a.domain(other);
-      const simd::Ops& ops = simd::ops();
       constexpr std::size_t kBlock = 64;
       Word acc[kBlock];
       for (std::size_t w0 = 0; w0 < W; w0 += kBlock) {
         const std::size_t nb = std::min(kBlock, W - w0);
         for (std::size_t b = 0; b < nb; ++b) acc[b] = 0;
-        dom_b.for_each(
-            [&](std::size_t r) { ops.or_into(acc, m.row_words(r) + w0, nb); });
-        ops.and_into(ow + w0, acc, nb);
+        dom_b.for_each([&](std::size_t r) {
+          const Word* row = m.row_words(r) + w0;
+          for (std::size_t b = 0; b < nb; ++b) acc[b] |= row[b];
+        });
+        for (std::size_t b = 0; b < nb; ++b) ow[w0 + b] &= acc[b];
       }
     }
   }

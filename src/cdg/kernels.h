@@ -42,22 +42,8 @@
 #include "cdg/arena.h"
 #include "cdg/constraint_eval.h"
 #include "cdg/role_value.h"
-#include "cdg/simd.h"
 #include "util/bitmatrix.h"
 #include "util/bitset.h"
-
-// Portable inner-loop vectorization hint for the few word loops that
-// do NOT route through the runtime dispatch table in cdg/simd.h:
-// `omp simd` (compiled with any OpenMP-capable compiler, no runtime
-// needed) lets the auto-vectorizer commit to SIMD code without a
-// legality analysis.  Compiles to nothing when OpenMP is off (e.g. the
-// TSan CI leg).  Not to be confused with the PARSEC_SIMD *environment
-// variable*, which caps the dispatch tier at runtime (cdg/simd.h).
-#if defined(_OPENMP)
-#define PARSEC_OMP_SIMD _Pragma("omp simd")
-#else
-#define PARSEC_OMP_SIMD
-#endif
 
 namespace parsec::cdg::kernels {
 
@@ -195,47 +181,76 @@ struct MaskedCounters {
   std::size_t* vm_evals = nullptr;       // actual bytecode dispatches
   std::size_t* masked = nullptr;         // pairs/values decided mask-only
   std::size_t* build_evals = nullptr;    // hoisted evals spent on masks
-  // Tiled-sweep bookkeeping: row tiles processed and 64-bit words put
-  // through the dispatched row kernel.  Both are pure functions of the
-  // network state (tier-independent — the scalar, AVX2 and AVX-512
-  // paths process identical words), so the perf gate can pin them.
+  // Row-pass bookkeeping: alive rows swept and 64-bit row words put
+  // through the word algebra.  Both are pure functions of the network
+  // state, so the perf gate can pin them.
   std::size_t* tile_sweeps = nullptr;
   std::size_t* lane_words = nullptr;
 };
 
-/// Tiling of the masked binary sweep: alive rows are processed in
-/// blocks of up to `rows` rows — one uninterrupted dispatched-kernel
-/// pass over the block staging every undecided word, then one residual
-/// bytecode-VM pass over the staged bits (cache-blocked BMM shape: the
-/// vector phase never alternates with VM dispatches).  Results and
-/// counter totals are identical for every tile size, because a pair's
-/// residual verdict depends only on (sentence, i, j), never on sweep
-/// order; the tile-size axis of bench_ablation_masks measures the cost
-/// difference.  `rows` is clamped to [1, kMaxSweepTileRows], and a
-/// tile never stages more words than the kernel's stack budget allows
-/// (wide rows shrink the effective block height).
-struct SweepTiling {
-  std::size_t rows = 64;
+using Word = NetworkArena::Word;
+
+/// Broadcast constants of one a-side row of the masked sweep, each
+/// all-ones or all-zero.  Folding the row's hoisted-mask booleans into
+/// constants is what makes the word algebra (sweep_word) a fixed
+/// 8-term expression: the same instruction stream for every row, the
+/// ACU-broadcast shape.
+struct SweepRowConsts {
+  Word nax;  // ~0 when the row fails ante_x (direction 1 vacuous)
+  Word t1c;  // ~0 when cons_x holds with no consequent residual
+  Word f1;   // ~0 when direction 1 can be falsified mask-only
+  Word ncx;  // ~0 when the row fails cons_x
+  Word nay;  // direction-2 mirrors of the four above
+  Word t2c;
+  Word f2;
+  Word ncy;
 };
 
-inline constexpr std::size_t kMaxSweepTileRows = 64;
+/// Derives a row's constants from its hoisted-mask bits (ax, ay, cx,
+/// cy) and the constraint's residual flags.
+inline SweepRowConsts sweep_row_consts(const FactoredConstraint& c, bool ax,
+                                       bool ay, bool cx, bool cy) {
+  const auto all = [](bool b) { return b ? ~Word{0} : Word{0}; };
+  return {all(!ax), all(cx && !c.cons_residual), all(ax && !c.ante_residual),
+          all(!cx), all(!ay), all(cy && !c.cons_residual),
+          all(ay && !c.ante_residual), all(!cy)};
+}
 
-/// Process-wide tiling override (ablation/bench knob).  Not a
-/// synchronization point: set before parsing starts, like
-/// simd::force_tier.
-void set_sweep_tiling(const SweepTiling& t);
-SweepTiling sweep_tiling();
+/// One row word after the mask pass.
+struct SweepWord {
+  Word row;   // the word with mask-killed pairs cleared
+  Word und;   // surviving pairs the masks leave undecided
+  Word dead;  // pairs the masks killed
+};
+
+/// The masked sweep's word algebra, the reference for every SIMD tier:
+/// `r` is one row word, ax..cy the partner-side mask words at the same
+/// index (bit j = does partner value j satisfy the part).  Direction 1
+/// (x = row value, y = partner value) is known satisfied iff the
+/// antecedent is falsified by a hoisted part, or the consequent is
+/// proven by both hoisted parts with no residual; known violated iff
+/// the antecedent is proven and a consequent part fails.  Direction 2
+/// mirrors with the sides swapped.  Each output bit depends only on
+/// the same bit of the inputs.
+inline SweepWord sweep_word(Word r, Word ax, Word ay, Word cx, Word cy,
+                            const SweepRowConsts& k) {
+  const Word t1 = ~ay | k.nax | (cy & k.t1c);
+  const Word f1 = k.f1 & ay & (~cy | k.ncx);
+  const Word t2 = ~ax | k.nay | (cx & k.t2c);
+  const Word f2 = k.f2 & ax & (~cx | k.ncy);
+  const Word kill = f1 | f2;
+  const Word keep = t1 & t2;
+  return {r & ~kill, r & ~kill & ~keep, r & kill};
+}
 
 /// Masked sweep of one binary constraint over one arc matrix: the
 /// separable part of the constraint is applied as bitwise AND/ANDN over
 /// each surviving row, deciding most pairs without a VM dispatch; only
 /// pairs the masks leave undecided fall back to the full bytecode
 /// program (both variable assignments, exactly like sweep_binary).
-/// The row pass runs through the runtime-dispatched SIMD kernel
-/// (cdg/simd.h — scalar / AVX2 / AVX-512, all bit-identical) in
-/// cache-blocked row tiles (SweepTiling above): per tile, one vector
-/// phase stages the undecided words, then one residual-VM phase
-/// resolves them.
+/// One plain loop over the alive rows: fold the row's mask bits into
+/// SweepRowConsts, run sweep_word over the row, and resolve each
+/// word's undecided bits with the residual VM straight away.
 /// `dom_a` enumerates the row side's alive values; (rid, w) pairs give
 /// the roles' binding coordinates for the fallback.  When
 /// `apply_residual` is false undecided pairs are left untouched (the

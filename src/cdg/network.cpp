@@ -9,7 +9,10 @@
 namespace parsec::cdg {
 
 Network::Network(const Grammar& g, const Sentence& s, Options opt)
-    : grammar_(&g), sentence_(s), indexer_(s.size(), g.num_labels()) {
+    : grammar_(&g),
+      sentence_(s),
+      indexer_(s.size(), g.num_labels()),
+      opt_(opt) {
   if (s.size() <= 0) throw std::invalid_argument("empty sentence");
   const std::size_t num_binary = g.binary_constraints().size();
   arena_.reshape(num_roles(), domain_size(),
@@ -44,9 +47,10 @@ void Network::init_domains() {
   }
 }
 
-bool Network::reinit(const Sentence& s) {
+bool Network::reinit(const Sentence& s, Options opt) {
   if (s.size() != n()) return false;
   sentence_ = s;
+  opt_ = opt;
   counters_ = NetworkCounters{};
   trace_ = nullptr;
   current_kind_ = TraceEvent::Kind::SupportElimination;
@@ -54,7 +58,8 @@ bool Network::reinit(const Sentence& s) {
   clean_sweep_at_ = kNoCleanSweep;
   arena_.reinit();
   init_domains();
-  if (arcs_built_) fill_arcs();
+  arcs_built_ = false;
+  if (opt_.prebuild_arcs) build_arcs();
   return true;
 }
 

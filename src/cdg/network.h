@@ -58,11 +58,13 @@ struct NetworkCounters {
   std::size_t masked_binary_pairs = 0;
   std::size_t masked_unary_decided = 0;
   std::size_t mask_build_evals = 0;
-  /// Tiled-sweep bookkeeping: row tiles dispatched through the SIMD
-  /// kernel layer and 64-bit lane-words it processed.  Both are
-  /// functions of the network shape and sweep schedule only — the same
-  /// on every dispatch tier (scalar/AVX2/AVX-512), so the perf gate can
-  /// pin them on any machine.
+  /// Row-pass bookkeeping of the masked binary sweep: alive rows swept
+  /// (one per row per sentence; in the 8-lane batch, one per row alive
+  /// in any lane, charged to every filled lane) and the 64-bit row
+  /// words those passes processed.  Both are functions of the network
+  /// shape and sweep schedule only — the same on every dispatch tier
+  /// (scalar/AVX2/AVX-512), so the perf gate can pin them on any
+  /// machine.
   std::size_t tile_sweeps = 0;
   std::size_t simd_lane_words = 0;
 
@@ -92,6 +94,7 @@ struct NetworkCounters {
     simd_lane_words += o.simd_lane_words;
     return *this;
   }
+  bool operator==(const NetworkCounters&) const = default;
 };
 
 struct NetworkOptions {
@@ -125,10 +128,15 @@ class Network {
   /// Rebinds this network to a new sentence of the *same length* under
   /// the *same grammar*, reusing the whole arena in place (no
   /// allocation; the serve hot path relies on this).  Counters and the
-  /// trace hook are reset; if the arcs were built they are refilled
-  /// from the fresh domains.  Returns false (and leaves the network
-  /// untouched) when the sentence length differs.
-  bool reinit(const Sentence& s);
+  /// trace hook are reset, and the arcs are left exactly as a fresh
+  /// network under `opt` would have them: filled from the new domains
+  /// when opt.prebuild_arcs, otherwise unbuilt until the first binary
+  /// constraint.  Returns false (and leaves the network untouched) when
+  /// the sentence length differs.
+  bool reinit(const Sentence& s, Options opt);
+  /// As above, keeping the options the network was built or last
+  /// reinitialized with.
+  bool reinit(const Sentence& s) { return reinit(s, opt_); }
 
   // ---- shape ----------------------------------------------------------
   int n() const { return sentence_.size(); }
@@ -306,6 +314,7 @@ class Network {
   RvIndexer indexer_;
   NetworkArena arena_;  // domains + arcs + counters + staging + masks
   kernels::MaskCache mask_cache_;
+  Options opt_;
   bool arcs_built_ = false;
   NetworkCounters counters_;
   TraceFn trace_;

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "cdg/kernels.h"
+
 // The vector variants use function-level target attributes, so no
 // special compile flags are needed: the file builds on any x86-64
 // gcc/clang and the unsupported paths are simply never dispatched.
@@ -20,60 +22,39 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Scalar tier: the reference semantics every wider tier must reproduce
-// bit-for-bit (and the tail loop the wider tiers reuse).
+// bit-for-bit — kernels::sweep_word per word, with lane t % 8's
+// constants.
 // ---------------------------------------------------------------------
 
 void sweep_row_scalar(Word* row, const Word* ax, const Word* ay,
                       const Word* cx, const Word* cy, const SweepConsts& c,
-                      std::size_t lanes, std::size_t n, Word* undecided,
-                      SweepStats* stats) {
-  assert(lanes == 1 || lanes == kMaxLanes);
-  assert(n % lanes == 0);
-  const std::size_t lm = lanes - 1;
+                      std::size_t n, Word* undecided, SweepStats* stats) {
+  assert(n % kMaxLanes == 0);
+  kernels::SweepRowConsts k[kMaxLanes];
+  for (std::size_t b = 0; b < kMaxLanes; ++b)
+    k[b] = {c.nax[b], c.t1c[b], c.f1[b], c.ncx[b],
+            c.nay[b], c.t2c[b], c.f2[b], c.ncy[b]};
   Word any = 0;
   for (std::size_t t = 0; t < n; ++t) {
-    const std::size_t b = t & lm;
+    const std::size_t b = t % kMaxLanes;
     const Word r = row[t];
-    const Word axw = ax[t], ayw = ay[t];
-    const Word cxw = cx[t], cyw = cy[t];
-    // Direction 1 (x = row value, y = partner value j): known satisfied
-    // iff the antecedent is falsified by a hoisted part, or the
-    // consequent is proven by both hoisted parts with no residual;
-    // known violated iff the antecedent is proven and a consequent part
-    // fails.  Direction 2 mirrors with the sides swapped.  The
-    // branchless form folds the row-side booleans into the broadcast
-    // constants (kernels.cpp::sweep_row_consts), leaving a fixed
-    // 8-term expression per word — the ACU-broadcast shape.
-    const Word t1 = ~ayw | c.nax[b] | (cyw & c.t1c[b]);
-    const Word f1 = c.f1[b] & ayw & (~cyw | c.ncx[b]);
-    const Word t2 = ~axw | c.nay[b] | (cxw & c.t2c[b]);
-    const Word f2 = c.f2[b] & axw & (~cxw | c.ncy[b]);
-    const Word kill = f1 | f2;
-    const Word keep = t1 & t2;
-    const Word und = r & ~kill & ~keep;
-    row[t] = r & ~kill;
-    undecided[t] = und;
-    any |= und;
+    const kernels::SweepWord s =
+        kernels::sweep_word(r, ax[t], ay[t], cx[t], cy[t], k[b]);
+    row[t] = s.row;
+    undecided[t] = s.und;
+    any |= s.und;
     stats->masked[b] += static_cast<Word>(std::popcount(r)) -
-                        static_cast<Word>(std::popcount(und));
-    stats->dead[b] += static_cast<Word>(std::popcount(r & kill));
+                        static_cast<Word>(std::popcount(s.und));
+    stats->dead[b] += static_cast<Word>(std::popcount(s.dead));
   }
   stats->any_undecided |= any != 0;
-}
-
-void andn_scalar(Word* dst, const Word* src, std::size_t n) {
-  for (std::size_t t = 0; t < n; ++t) dst[t] &= ~src[t];
-}
-
-void or_scalar(Word* dst, const Word* src, std::size_t n) {
-  for (std::size_t t = 0; t < n; ++t) dst[t] |= src[t];
 }
 
 void and_scalar(Word* dst, const Word* src, std::size_t n) {
   for (std::size_t t = 0; t < n; ++t) dst[t] &= src[t];
 }
 
-constexpr Ops kScalarOps{sweep_row_scalar, andn_scalar, or_scalar, and_scalar};
+constexpr Ops kScalarOps{sweep_row_scalar, and_scalar};
 
 #if defined(PARSEC_SIMD_X86)
 
@@ -136,37 +117,25 @@ __attribute__((target("avx2"))) inline void sweep_vec_avx2(
 
 __attribute__((target("avx2"))) void sweep_row_avx2(
     Word* row, const Word* ax, const Word* ay, const Word* cx,
-    const Word* cy, const SweepConsts& c, std::size_t lanes, std::size_t n,
-    Word* undecided, SweepStats* stats) {
-  assert(lanes == 1 || lanes == kMaxLanes);
-  assert(n % lanes == 0);
+    const Word* cy, const SweepConsts& c, std::size_t n, Word* undecided,
+    SweepStats* stats) {
+  assert(n % kMaxLanes == 0);
+  // k0 carries the constants of lanes 0-3, k1 those of lanes 4-7.
   __m256i k0[8], k1[8];
   const Word* const cptr[8] = {c.nax, c.t1c, c.f1, c.ncx,
                                c.nay, c.t2c, c.f2, c.ncy};
-  if (lanes == 1) {
-    for (int i = 0; i < 8; ++i)
-      k0[i] = k1[i] = _mm256_set1_epi64x(static_cast<long long>(cptr[i][0]));
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      k0[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cptr[i]));
-      k1[i] = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(cptr[i] + 4));
-    }
+  for (int i = 0; i < 8; ++i) {
+    k0[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cptr[i]));
+    k1[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cptr[i] + 4));
   }
   Avx2Acc a0{_mm256_setzero_si256(), _mm256_setzero_si256(),
              _mm256_setzero_si256()};
   Avx2Acc a1 = a0;
-  std::size_t t = 0;
-  for (; t + 8 <= n; t += 8) {
+  for (std::size_t t = 0; t < n; t += 8) {
     sweep_vec_avx2(row, ax, ay, cx, cy, undecided, t, k0[0], k0[1], k0[2],
                    k0[3], k0[4], k0[5], k0[6], k0[7], &a0);
     sweep_vec_avx2(row, ax, ay, cx, cy, undecided, t + 4, k1[0], k1[1],
                    k1[2], k1[3], k1[4], k1[5], k1[6], k1[7], &a1);
-  }
-  if (lanes == 1 && t + 4 <= n) {
-    sweep_vec_avx2(row, ax, ay, cx, cy, undecided, t, k0[0], k0[1], k0[2],
-                   k0[3], k0[4], k0[5], k0[6], k0[7], &a0);
-    t += 4;
   }
   alignas(32) Word m0[4], m1[4], d0[4], d1[4], u[4];
   _mm256_store_si256(reinterpret_cast<__m256i*>(m0), a0.masked);
@@ -175,52 +144,13 @@ __attribute__((target("avx2"))) void sweep_row_avx2(
   _mm256_store_si256(reinterpret_cast<__m256i*>(d1), a1.dead);
   _mm256_store_si256(reinterpret_cast<__m256i*>(u),
                      _mm256_or_si256(a0.und, a1.und));
-  if (lanes == 1) {
-    stats->masked[0] += m0[0] + m0[1] + m0[2] + m0[3] + m1[0] + m1[1] +
-                        m1[2] + m1[3];
-    stats->dead[0] +=
-        d0[0] + d0[1] + d0[2] + d0[3] + d1[0] + d1[1] + d1[2] + d1[3];
-  } else {
-    // Word index t%8 == vector slot: a0 carries lanes 0-3, a1 lanes 4-7.
-    for (int i = 0; i < 4; ++i) {
-      stats->masked[i] += m0[i];
-      stats->masked[i + 4] += m1[i];
-      stats->dead[i] += d0[i];
-      stats->dead[i + 4] += d1[i];
-    }
+  for (int i = 0; i < 4; ++i) {
+    stats->masked[i] += m0[i];
+    stats->masked[i + 4] += m1[i];
+    stats->dead[i] += d0[i];
+    stats->dead[i + 4] += d1[i];
   }
   stats->any_undecided |= (u[0] | u[1] | u[2] | u[3]) != 0;
-  if (t < n)
-    sweep_row_scalar(row + t, ax + t, ay + t, cx + t, cy + t, c, 1, n - t,
-                     undecided + t, stats);
-}
-
-__attribute__((target("avx2"))) void andn_avx2(Word* dst, const Word* src,
-                                               std::size_t n) {
-  std::size_t t = 0;
-  for (; t + 4 <= n; t += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + t));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + t));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + t),
-                        _mm256_andnot_si256(s, d));
-  }
-  for (; t < n; ++t) dst[t] &= ~src[t];
-}
-
-__attribute__((target("avx2"))) void or_avx2(Word* dst, const Word* src,
-                                             std::size_t n) {
-  std::size_t t = 0;
-  for (; t + 4 <= n; t += 4) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + t));
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + t));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + t),
-                        _mm256_or_si256(d, s));
-  }
-  for (; t < n; ++t) dst[t] |= src[t];
 }
 
 __attribute__((target("avx2"))) void and_avx2(Word* dst, const Word* src,
@@ -237,13 +167,12 @@ __attribute__((target("avx2"))) void and_avx2(Word* dst, const Word* src,
   for (; t < n; ++t) dst[t] &= src[t];
 }
 
-constexpr Ops kAvx2Ops{sweep_row_avx2, andn_avx2, or_avx2, and_avx2};
+constexpr Ops kAvx2Ops{sweep_row_avx2, and_avx2};
 
 // ---------------------------------------------------------------------
 // AVX-512 tier: 8 words per op — one vector op per batch word group —
-// with native vpopcntq.  With lanes == 8 the accumulator's 64-bit
-// vector lanes ARE the sentence lanes, so the per-lane stats cost
-// nothing extra.
+// with native vpopcntq.  The accumulator's 64-bit vector lanes ARE the
+// sentence lanes, so the per-lane stats cost nothing extra.
 // ---------------------------------------------------------------------
 
 #define PARSEC_TARGET_AVX512 \
@@ -292,65 +221,32 @@ PARSEC_TARGET_AVX512 inline void sweep_vec_avx512(
 
 PARSEC_TARGET_AVX512 void sweep_row_avx512(
     Word* row, const Word* ax, const Word* ay, const Word* cx,
-    const Word* cy, const SweepConsts& c, std::size_t lanes, std::size_t n,
-    Word* undecided, SweepStats* stats) {
-  assert(lanes == 1 || lanes == kMaxLanes);
-  assert(n % lanes == 0);
-  __m512i k[8];
-  const Word* const cptr[8] = {c.nax, c.t1c, c.f1, c.ncx,
-                               c.nay, c.t2c, c.f2, c.ncy};
-  if (lanes == 1) {
-    for (int i = 0; i < 8; ++i)
-      k[i] = _mm512_set1_epi64(static_cast<long long>(cptr[i][0]));
-  } else {
-    for (int i = 0; i < 8; ++i) k[i] = _mm512_loadu_si512(cptr[i]);
-  }
+    const Word* cy, const SweepConsts& c, std::size_t n, Word* undecided,
+    SweepStats* stats) {
+  assert(n % kMaxLanes == 0);
   Avx512Acc acc{_mm512_setzero_si512(), _mm512_setzero_si512(),
                 _mm512_setzero_si512()};
-  std::size_t t = 0;
-  for (; t + 8 <= n; t += 8)
-    sweep_vec_avx512(row, ax, ay, cx, cy, undecided, t, k[0], k[1], k[2],
-                     k[3], k[4], k[5], k[6], k[7], &acc);
+  const __m512i knax = _mm512_loadu_si512(c.nax);
+  const __m512i kt1c = _mm512_loadu_si512(c.t1c);
+  const __m512i kf1 = _mm512_loadu_si512(c.f1);
+  const __m512i kncx = _mm512_loadu_si512(c.ncx);
+  const __m512i knay = _mm512_loadu_si512(c.nay);
+  const __m512i kt2c = _mm512_loadu_si512(c.t2c);
+  const __m512i kf2 = _mm512_loadu_si512(c.f2);
+  const __m512i kncy = _mm512_loadu_si512(c.ncy);
+  for (std::size_t t = 0; t < n; t += 8)
+    sweep_vec_avx512(row, ax, ay, cx, cy, undecided, t, knax, kt1c, kf1,
+                     kncx, knay, kt2c, kf2, kncy, &acc);
   alignas(64) Word m[8], d[8], u[8];
   _mm512_store_si512(m, acc.masked);
   _mm512_store_si512(d, acc.dead);
   _mm512_store_si512(u, acc.und);
-  if (lanes == 1) {
-    for (int i = 0; i < 8; ++i) {
-      stats->masked[0] += m[i];
-      stats->dead[0] += d[i];
-    }
-  } else {
-    for (int i = 0; i < 8; ++i) {
-      stats->masked[i] += m[i];
-      stats->dead[i] += d[i];
-    }
+  for (int i = 0; i < 8; ++i) {
+    stats->masked[i] += m[i];
+    stats->dead[i] += d[i];
   }
   stats->any_undecided |=
       (u[0] | u[1] | u[2] | u[3] | u[4] | u[5] | u[6] | u[7]) != 0;
-  if (t < n)
-    sweep_row_scalar(row + t, ax + t, ay + t, cx + t, cy + t, c, 1, n - t,
-                     undecided + t, stats);
-}
-
-PARSEC_TARGET_AVX512 void andn_avx512(Word* dst, const Word* src,
-                                      std::size_t n) {
-  std::size_t t = 0;
-  for (; t + 8 <= n; t += 8)
-    _mm512_storeu_si512(dst + t,
-                        _mm512_andnot_si512(_mm512_loadu_si512(src + t),
-                                            _mm512_loadu_si512(dst + t)));
-  for (; t < n; ++t) dst[t] &= ~src[t];
-}
-
-PARSEC_TARGET_AVX512 void or_avx512(Word* dst, const Word* src,
-                                    std::size_t n) {
-  std::size_t t = 0;
-  for (; t + 8 <= n; t += 8)
-    _mm512_storeu_si512(dst + t,
-                        _mm512_or_si512(_mm512_loadu_si512(dst + t),
-                                        _mm512_loadu_si512(src + t)));
-  for (; t < n; ++t) dst[t] |= src[t];
 }
 
 PARSEC_TARGET_AVX512 void and_avx512(Word* dst, const Word* src,
@@ -363,8 +259,7 @@ PARSEC_TARGET_AVX512 void and_avx512(Word* dst, const Word* src,
   for (; t < n; ++t) dst[t] &= src[t];
 }
 
-constexpr Ops kAvx512Ops{sweep_row_avx512, andn_avx512, or_avx512,
-                         and_avx512};
+constexpr Ops kAvx512Ops{sweep_row_avx512, and_avx512};
 
 #endif  // PARSEC_SIMD_X86
 
@@ -446,9 +341,5 @@ void force_tier(IsaTier t) {
 void clear_forced_tier() { g_forced.store(-1, std::memory_order_relaxed); }
 
 const Ops& ops() { return *kTables[static_cast<int>(active_tier())]; }
-
-const Ops& ops_for(IsaTier t) {
-  return *kTables[static_cast<int>(min_tier(t, detected_tier()))];
-}
 
 }  // namespace parsec::cdg::simd

@@ -58,7 +58,7 @@ cdg::Network& NetworkScratch::acquire(const cdg::Grammar& g,
                                       cdg::NetworkOptions opt) {
   const ShapeKey key{&g, s.size()};
   auto it = by_shape_.find(key);
-  if (it != by_shape_.end() && it->second.reinit(s)) {
+  if (it != by_shape_.end() && it->second.reinit(s, opt)) {
     ++reuses_;
     return it->second;
   }
@@ -423,13 +423,13 @@ StatsPublisher::StatsPublisher(obs::Registry* registry) {
         {{"backend", be}});
     p.simd_tile_sweeps = &reg.counter(
         "parsec_simd_tile_sweeps_total",
-        "Cache-blocked sweep tiles executed by the SIMD kernels "
+        "Alive rows swept by the masked binary sweep "
         "(tier-independent).",
         {{"backend", be}});
     p.simd_lane_words = &reg.counter(
         "parsec_simd_lane_words_total",
-        "64-bit words pushed through the vector phase of the sweep "
-        "kernels (tier-independent).",
+        "64-bit row words processed by those row passes "
+        "(tier-independent).",
         {{"backend", be}});
     p.latency = &reg.histogram("parsec_parse_duration_seconds",
                                "Wall-clock latency of one parse request.",

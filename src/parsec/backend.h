@@ -69,7 +69,9 @@ struct BackendStats {
 /// `acquire` reuses (via Network::reinit) the network — and with it the
 /// whole backing arena — built for the last same-shape sentence, so
 /// steady-state parsing of a workload with repeating lengths allocates
-/// nothing.  Keying by grammar identity (not just length) lets one
+/// nothing.  A reused network takes the requested NetworkOptions, so it
+/// behaves exactly like a fresh one (a lazy-arc network stays lazy on
+/// every reuse).  Keying by grammar identity (not just length) lets one
 /// worker serve many tenants without thrashing the pool when requests
 /// alternate between grammars; `purge(&grammar)` releases the networks
 /// of a retired grammar snapshot after a hot reload.

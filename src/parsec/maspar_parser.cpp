@@ -237,8 +237,8 @@ void MasparParse::apply_binary(const FactoredConstraint& c) {
   machine_.simd(2 * l_ * l_, [&](int pe) {
     std::uint64_t w = bits_[pe];
     if (!w) return;
-    // One live PE submatrix word = one packed tile sweep, the l*l
-    // counterpart of the host kernels' row tiles (folded into
+    // One live PE submatrix word = one packed sweep, the l*l
+    // counterpart of the host kernels' row passes (folded into
     // NetworkCounters by run_backend).
     ++tile_sweeps_;
     ++lane_words_;

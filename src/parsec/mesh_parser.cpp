@@ -142,8 +142,8 @@ TopoResult TopologyParser::parse(Network& net,
       }
       charge_elem(arc_elems);
       net.ensure_masks(c, ci);
-      // Tile accounting only: mesh cost stays with charge_elem, but the
-      // host-side SIMD tile sweeps are pinned per backend by the gate.
+      // Row-pass accounting only: mesh cost stays with charge_elem, but
+      // the host-side row passes are pinned per backend by the gate.
       cdg::kernels::MaskedCounters mc;
       mc.tile_sweeps = &net.counters().tile_sweeps;
       mc.lane_words = &net.counters().simd_lane_words;

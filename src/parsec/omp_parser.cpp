@@ -56,10 +56,11 @@ void OmpParser::apply_binary(Network& net, const FactoredConstraint& c,
   // race.
   const std::size_t A = arena.num_arcs();
   std::size_t zeroed_total = 0;
-  // Tile accounting rides the existing reduction (this engine otherwise
-  // reports work through wall-clock, not eval counts): each worker
-  // charges thread-local tile/lane-word accumulators, summed after the
-  // barrier so the totals match the serial schedule bit-for-bit.
+  // Row-pass accounting rides the existing reduction (this engine
+  // otherwise reports work through wall-clock, not eval counts): each
+  // worker charges thread-local row/lane-word accumulators, summed
+  // after the barrier so the totals match the serial schedule
+  // bit-for-bit.
   std::size_t tiles_total = 0, lanes_total = 0;
 #if defined(PARSEC_HAVE_OPENMP)
 #pragma omp parallel for schedule(dynamic) \

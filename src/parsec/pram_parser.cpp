@@ -74,10 +74,10 @@ void PramParser::apply_binary_parallel(Network& net, pram::Machine& m,
   // models).
   net.ensure_masks(c, slot);
   cdg::NetworkArena& arena = net.arena();
-  // Tile accounting only: the VM/masked-pair charges stay with the step
-  // model's processor counts (the PRAM cost story), but the host-side
-  // tile sweeps are real work the SIMD layer performed and the perf
-  // gate pins them per backend.
+  // Row-pass accounting only: the VM/masked-pair charges stay with the
+  // step model's processor counts (the PRAM cost story), but the
+  // host-side row passes are real work the sweep performed and the
+  // perf gate pins them per backend.
   cdg::kernels::MaskedCounters mc;
   mc.tile_sweeps = &net.counters().tile_sweeps;
   mc.lane_words = &net.counters().simd_lane_words;

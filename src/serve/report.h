@@ -21,8 +21,9 @@ struct ThroughputRow {
   std::uint64_t sentences = 0;
   double wall_seconds = 0.0;
   double throughput_sps = 0.0;  // sentences / wall second
-  double speedup = 0.0;         // vs the single-thread row
-  double efficiency = 0.0;      // speedup / threads (1.0 = perfect scaling)
+  double speedup = 0.0;         // vs the first (base) row
+  double efficiency = 0.0;      // speedup * base threads / threads (1.0 =
+                                // perfect scaling)
   ServiceStats stats;
 };
 

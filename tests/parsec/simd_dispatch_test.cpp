@@ -1,10 +1,9 @@
-// Cross-tier and cross-kernel identity for the runtime-dispatched SIMD
-// sweep layer (cdg/simd.h): every ISA tier (scalar / AVX2 / AVX-512,
-// clamped to what the host supports), every tile size, the per-pair VM
-// path and the SoA batch parser must all reach the same fixpoint bit
-// for bit — the dispatch tier and the batching are pure throughput
-// knobs.  This is the test-side half of the CI forced-scalar leg and
-// the bench ISA ablation.
+// Cross-kernel identity for the masked sweep and the runtime-dispatched
+// SIMD layer (cdg/simd.h): every backend, the per-pair VM path and the
+// SoA batch parser on every ISA tier (scalar / AVX2 / AVX-512, clamped
+// to what the host supports) must all reach the same fixpoint bit for
+// bit — the dispatch tier and the batching are pure throughput knobs.
+// This is the test-side half of the CI forced-scalar leg.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,11 +12,13 @@
 
 #include "cdg/batch.h"
 #include "cdg/kernels.h"
+#include "cdg/parser.h"
 #include "cdg/simd.h"
 #include "grammars/english_grammar.h"
 #include "grammars/sentence_gen.h"
 #include "grammars/toy_grammar.h"
 #include "parsec/backend.h"
+#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace {
@@ -55,16 +56,12 @@ std::vector<Case> fuzz_corpus(const grammars::CdgBundle& toy,
   return corpus;
 }
 
-// Restores the process-wide sweep tiling on scope exit.
-struct TilingGuard {
-  cdg::kernels::SweepTiling saved = cdg::kernels::sweep_tiling();
-  ~TilingGuard() { cdg::kernels::set_sweep_tiling(saved); }
-};
-
-// Every dispatch tier must produce the reference fixpoint AND the
-// reference cost-counter totals on every backend: the per-word sweep
-// algebra has no cross-word reduction, so counters are bit-determined
-// too (this is what lets the perf gate pin them machine-independently).
+// Every backend must produce the reference fixpoint, and the pooled
+// serial run the reference cost-counter totals of a fresh network: the
+// per-word sweep algebra has no cross-word reduction, so counters are
+// bit-determined too (this is what lets the perf gate pin them
+// machine-independently).  The per-sentence sweep never dispatches, so
+// one pass covers every tier.
 TEST(SimdDispatch, AllTiersAllBackendsBitIdenticalOnFuzzCorpus) {
   auto toy = grammars::make_toy_grammar();
   auto english = grammars::make_english_grammar();
@@ -73,44 +70,42 @@ TEST(SimdDispatch, AllTiersAllBackendsBitIdenticalOnFuzzCorpus) {
   engine::EngineSet eng_engines(english.grammar);
   engine::NetworkScratch scratch;
 
-  // References at the default (widest) tier.
+  // References: serial on a fresh network per sentence.
   struct Ref {
     std::uint64_t hash;
     bool accepted;
     std::size_t alive;
     std::uint64_t binary_evals;
+    std::uint64_t tile_sweeps;
     std::uint64_t lane_words;
   };
   std::vector<Ref> refs;
   for (const Case& c : corpus) {
     const engine::BackendRun r = engine::run_backend(
-        c.toy ? toy_engines : eng_engines, engine::Backend::Serial, c.s,
-        &scratch);
+        c.toy ? toy_engines : eng_engines, engine::Backend::Serial, c.s);
     refs.push_back({r.domains_hash, r.accepted, r.alive_role_values,
                     r.stats.network.effective_binary_evals(),
+                    r.stats.network.tile_sweeps,
                     r.stats.network.simd_lane_words});
   }
 
-  for (IsaTier tier : {IsaTier::Scalar, IsaTier::Avx2, IsaTier::Avx512}) {
-    ScopedTier forced(tier);
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-      const Case& c = corpus[i];
-      for (auto b : engine::kAllBackends) {
-        const engine::BackendRun run = engine::run_backend(
-            c.toy ? toy_engines : eng_engines, b, c.s, &scratch);
-        EXPECT_EQ(run.domains_hash, refs[i].hash)
-            << "sentence " << i << " tier "
-            << cdg::simd::tier_name(tier) << " backend "
-            << engine::to_string(b);
-        EXPECT_EQ(run.accepted, refs[i].accepted) << "sentence " << i;
-        EXPECT_EQ(run.alive_role_values, refs[i].alive) << "sentence " << i;
-        if (b == engine::Backend::Serial) {
-          EXPECT_EQ(run.stats.network.effective_binary_evals(),
-                    refs[i].binary_evals)
-              << "sentence " << i << " tier " << cdg::simd::tier_name(tier);
-          EXPECT_EQ(run.stats.network.simd_lane_words, refs[i].lane_words)
-              << "sentence " << i << " tier " << cdg::simd::tier_name(tier);
-        }
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const Case& c = corpus[i];
+    for (auto b : engine::kAllBackends) {
+      const engine::BackendRun run = engine::run_backend(
+          c.toy ? toy_engines : eng_engines, b, c.s, &scratch);
+      EXPECT_EQ(run.domains_hash, refs[i].hash)
+          << "sentence " << i << " backend " << engine::to_string(b);
+      EXPECT_EQ(run.accepted, refs[i].accepted) << "sentence " << i;
+      EXPECT_EQ(run.alive_role_values, refs[i].alive) << "sentence " << i;
+      if (b == engine::Backend::Serial) {
+        EXPECT_EQ(run.stats.network.effective_binary_evals(),
+                  refs[i].binary_evals)
+            << "sentence " << i;
+        EXPECT_EQ(run.stats.network.tile_sweeps, refs[i].tile_sweeps)
+            << "sentence " << i;
+        EXPECT_EQ(run.stats.network.simd_lane_words, refs[i].lane_words)
+            << "sentence " << i;
       }
     }
   }
@@ -132,48 +127,102 @@ TEST(SimdDispatch, ForcedTierClampsAndScalarAlwaysWins) {
             static_cast<int>(cdg::simd::detected_tier()));
 }
 
-// The tile size (rows staged per vector phase) must not change the
-// fixpoint: residual verdicts depend only on (sentence, i, j), never on
-// which tile surfaced the pair.  lane-word totals are tile-independent
-// too; tile_sweeps itself scales with the tile size, so it is only
-// pinned under the default tiling.
-TEST(SimdDispatch, TileSizeDoesNotChangeFixpointOrLaneWords) {
-  auto english = grammars::make_english_grammar();
-  grammars::SentenceGenerator gen(english, 777);
-  engine::EngineSet engines(english.grammar);
-  engine::NetworkScratch scratch;
-  std::vector<cdg::Sentence> ws;
-  for (int n : {3, 5, 8, 11}) ws.push_back(gen.generate_sentence(n));
+// Alive rows of the arc sweeps one binary constraint makes over `net`:
+// arc (ra, rb) sweeps every alive value of ra, once per rb > ra.
+std::size_t rows_swept(const cdg::Network& net) {
+  const int R = net.num_roles();
+  std::size_t rows = 0;
+  for (int ra = 0; ra < R; ++ra)
+    rows += net.domain(ra).count() * static_cast<std::size_t>(R - 1 - ra);
+  return rows;
+}
 
-  TilingGuard guard;
-  std::vector<std::uint64_t> ref_hash, ref_lane_words;
-  for (std::size_t rows : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                           std::size_t{64}}) {
-    cdg::kernels::set_sweep_tiling({rows});
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      const engine::BackendRun run = engine::run_backend(
-          engines, engine::Backend::Serial, ws[i], &scratch);
-      if (ref_hash.size() <= i) {
-        ref_hash.push_back(run.domains_hash);
-        ref_lane_words.push_back(run.stats.network.simd_lane_words);
-      } else {
-        EXPECT_EQ(run.domains_hash, ref_hash[i])
-            << "rows=" << rows << " sentence " << i;
-        EXPECT_EQ(run.stats.network.simd_lane_words, ref_lane_words[i])
-            << "rows=" << rows << " sentence " << i;
-      }
-    }
+// tile_sweeps counts one per alive row swept — per sentence on the
+// serial path, per lane in the batch — and simd_lane_words one row
+// width (W words) per such row.
+TEST(SimdDispatch, TileSweepsCountOneRowPassPerAliveRow) {
+  auto toy = grammars::make_toy_grammar();
+  const cdg::Sentence s = toy.tag("The program runs");
+  cdg::SequentialParser parser(toy.grammar);
+  cdg::Network net = parser.make_network(s);
+  parser.run_unary(net);
+  const std::size_t W = net.domain(0).word_count();
+  for (std::size_t k = 0; k < parser.compiled_binary().size(); ++k) {
+    const std::size_t rows = rows_swept(net);
+    ASSERT_GT(rows, 0u);
+    const cdg::NetworkCounters before = net.counters();
+    parser.step_binary(net, k);
+    EXPECT_EQ(net.counters().tile_sweeps - before.tile_sweeps, rows)
+        << "constraint " << k;
+    EXPECT_EQ(net.counters().simd_lane_words - before.simd_lane_words,
+              rows * W)
+        << "constraint " << k;
+  }
+
+  // Batch: each sweep visits the rows alive in ANY lane and charges
+  // every filled lane once per such row.  The toy grammar has fewer
+  // binary constraints than the batch's consistency stride, so every
+  // sweep sees the post-unary union domains.
+  ASSERT_LT(parser.compiled_binary().size(), 5u);
+  const std::vector<cdg::Sentence> batch{toy.tag("The program runs"),
+                                         toy.tag("program The runs"),
+                                         toy.tag("A dog halts")};
+  std::vector<cdg::Network> lanes;
+  for (const cdg::Sentence& b : batch) {
+    lanes.push_back(parser.make_network(b));
+    parser.run_unary(lanes.back());
+  }
+  const int R = lanes[0].num_roles();
+  std::size_t union_rows = 0;
+  for (int ra = 0; ra < R; ++ra) {
+    util::DynBitset alive(static_cast<std::size_t>(lanes[0].domain_size()));
+    for (const cdg::Network& l : lanes)
+      l.domain(ra).for_each([&](std::size_t rv) { alive.set(rv); });
+    union_rows += alive.count() * static_cast<std::size_t>(R - 1 - ra);
+  }
+  cdg::BatchParser bp(toy.grammar);
+  const auto results = bp.parse(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  const std::size_t sweeps = parser.compiled_binary().size() * union_rows;
+  for (std::size_t b = 0; b < results.size(); ++b) {
+    EXPECT_EQ(results[b].counters.tile_sweeps, sweeps) << "lane " << b;
+    EXPECT_EQ(results[b].counters.simd_lane_words, sweeps * W)
+        << "lane " << b;
   }
 }
 
-// set_sweep_tiling clamps out-of-range requests instead of letting a
-// zero-row tile wedge the sweep loop.
-TEST(SimdDispatch, SweepTilingClampsToValidRange) {
-  TilingGuard guard;
-  cdg::kernels::set_sweep_tiling({0});
-  EXPECT_EQ(cdg::kernels::sweep_tiling().rows, 1u);
-  cdg::kernels::set_sweep_tiling({100000});
-  EXPECT_EQ(cdg::kernels::sweep_tiling().rows, cdg::kernels::kMaxSweepTileRows);
+// The masked row loop equals the plain per-pair sweep bit for bit on a
+// row width that is not a multiple of 8 words (n = 5: D = 12 * 6 = 72
+// bits, one full word plus an 8-bit tail word), after every constraint.
+TEST(SimdDispatch, MaskedEqualsPlainOnRaggedRowWidth) {
+  auto english = grammars::make_english_grammar();
+  grammars::SentenceGenerator gen(english, 4242);
+  cdg::ParseOptions plain_opt;
+  plain_opt.use_masks = false;
+  const cdg::SequentialParser masked(english.grammar);
+  const cdg::SequentialParser plain(english.grammar, plain_opt);
+  for (int round = 0; round < 4; ++round) {
+    const cdg::Sentence s = gen.generate_sentence(5);
+    cdg::Network a = masked.make_network(s);
+    cdg::Network b = plain.make_network(s);
+    const std::size_t W = a.domain(0).word_count();
+    ASSERT_EQ(a.domain_size(), 72);
+    ASSERT_EQ(W, 2u);
+    masked.run_unary(a);
+    plain.run_unary(b);
+    for (std::size_t k = 0; k < masked.compiled_binary().size(); ++k) {
+      EXPECT_EQ(masked.step_binary(a, k), plain.step_binary(b, k))
+          << "round " << round << " constraint " << k;
+      for (int ra = 0; ra < a.num_roles(); ++ra)
+        for (int rb = ra + 1; rb < a.num_roles(); ++rb)
+          ASSERT_TRUE(a.arc_matrix(ra, rb) == b.arc_matrix(ra, rb))
+              << "round " << round << " constraint " << k << " arc (" << ra
+              << ", " << rb << ")";
+    }
+    EXPECT_EQ(a.counters().effective_binary_evals(),
+              b.counters().effective_binary_evals())
+        << "round " << round;
+  }
 }
 
 // SoA batch parsing: every lane of every batch shape (full, partial,

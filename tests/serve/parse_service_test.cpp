@@ -308,6 +308,42 @@ TEST(NetworkScratch, ReusesSameShapeNetworks) {
   EXPECT_EQ(r2.domains_hash, engine::hash_domains(domains));
 }
 
+// A pooled network honours the options of every acquire: a lazy-arc
+// network reused for a new sentence builds no arcs before its first
+// binary constraint and costs exactly what a fresh lazy network does.
+TEST(NetworkScratch, PooledLazyNetworkStaysLazy) {
+  auto bundle = grammars::make_english_grammar();
+  grammars::SentenceGenerator gen(bundle, 5);
+  cdg::ParseOptions popt;
+  popt.prebuild_arcs = false;
+  const cdg::SequentialParser seq(bundle.grammar, popt);
+  cdg::NetworkOptions lazy;
+  lazy.prebuild_arcs = false;
+  engine::NetworkScratch scratch;
+  const auto run = [&](cdg::Network& net) {
+    seq.run_unary(net);
+    EXPECT_FALSE(net.arcs_built());
+    seq.run_binary(net);
+    EXPECT_TRUE(net.arcs_built());
+    net.filter();
+  };
+  for (int round = 0; round < 3; ++round) {
+    const cdg::Sentence s = gen.generate_sentence(6);
+    cdg::Network& pooled = scratch.acquire(bundle.grammar, s, lazy);
+    EXPECT_FALSE(pooled.arcs_built()) << "round " << round;
+    run(pooled);
+    cdg::Network fresh = seq.make_network(s);
+    run(fresh);
+    EXPECT_TRUE(pooled.counters() == fresh.counters()) << "round " << round;
+  }
+  EXPECT_EQ(scratch.reuses(), 2u);
+  // An eager acquire of the same pooled network prebuilds again.
+  cdg::NetworkOptions eager;
+  EXPECT_TRUE(
+      scratch.acquire(bundle.grammar, gen.generate_sentence(6), eager)
+          .arcs_built());
+}
+
 TEST(NetworkScratch, ReinitRejectsLengthMismatch) {
   auto bundle = grammars::make_toy_grammar();
   cdg::Network net(bundle.grammar, bundle.tag("The program runs"));
